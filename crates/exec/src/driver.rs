@@ -6,10 +6,11 @@
 //! compute, and [`QueryDriver::on_event`] advances the machine on each
 //! [`Event`] delivered by [`SimContext::step`]. Drivers track exactly which
 //! I/O handles, compute tasks and timers belong to them and *silently
-//! ignore everything else*, which is what lets many drivers share one
-//! context: the multi-query engine broadcasts every event to every active
-//! driver in session order, and only the owner reacts. A driver returns an
-//! error only for a failure on I/O it issued itself.
+//! ignore everything else*, so a single-query loop can feed a driver every
+//! event. The multi-query engine does not: the context records which
+//! driver issued (or joined) each I/O and compute task, and the engine
+//! hands each completion only to those owners. A driver returns an error
+//! only for a failure on I/O it issued itself.
 //!
 //! Determinism: drivers hold ordered collections only, never consult
 //! wall-clock time, and react to events in the order the context delivers

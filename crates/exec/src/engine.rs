@@ -218,6 +218,10 @@ struct LogicalIo {
     issue_time: SimTime,
     /// A backoff retry is scheduled; the timeout must not also re-issue.
     pending_retry: bool,
+    /// Dispatch owners: the issuer's, then each further one that joined
+    /// through a deduplicated `read_page` (see
+    /// `SimContext::set_dispatch_owner`).
+    owners: Vec<u64>,
 }
 
 /// An event delivered by [`SimContext::step`].
@@ -319,6 +323,13 @@ pub struct SimContext<'a> {
     deadline_queue: BTreeMap<SimTime, Vec<u64>>,
     timer_queue: EventQueue<(u64, u64)>, // (timer id, routing tag)
     next_timer: u64,
+    /// Owner stamped on I/O and compute issued from now on.
+    owner: Option<u64>,
+    task_owner: BTreeMap<TaskId, u64>,
+    /// Owners of the events the latest `step` appended, flattened: event
+    /// `i`'s owners are `step_owners[step_owner_ends[i - 1]..step_owner_ends[i]]`.
+    step_owners: Vec<u64>,
+    step_owner_ends: Vec<u32>,
     io_buf: Vec<IoCompletion>,
     cpu_buf: Vec<TaskId>,
     depth: TimeWeighted,
@@ -371,6 +382,10 @@ impl<'a> SimContext<'a> {
             deadline_queue: BTreeMap::new(),
             timer_queue: EventQueue::new(),
             next_timer: 0,
+            owner: None,
+            task_owner: BTreeMap::new(),
+            step_owners: Vec::new(),
+            step_owner_ends: Vec::new(),
             io_buf: Vec::new(),
             cpu_buf: Vec::new(),
             depth: TimeWeighted::new(SimTime::ZERO, 0.0),
@@ -664,11 +679,45 @@ impl<'a> SimContext<'a> {
         self.pool_evbuf = buf;
     }
 
+    /// Set the dispatch owner: every read, write and compute task issued
+    /// until the next call is stamped with `owner`, and its completion
+    /// event lists it in `event_owners`. A dispatcher serving
+    /// many drivers sets the driver's token before calling into it and
+    /// clears it (`None`) afterwards; single-driver loops never set one.
+    pub(crate) fn set_dispatch_owner(&mut self, owner: Option<u64>) {
+        self.owner = owner;
+    }
+
+    /// The dispatch owners of the `i`-th event the latest
+    /// [`step`](SimContext::step) appended: the owner stamped when the
+    /// I/O or compute task was issued, plus every owner that joined a
+    /// deduplicated page read. Empty for timers and for work issued with
+    /// no owner set.
+    pub(crate) fn event_owners(&self, i: usize) -> &[u64] {
+        let end = self.step_owner_ends[i] as usize;
+        let start = match i {
+            0 => 0,
+            _ => self.step_owner_ends[i - 1] as usize,
+        };
+        &self.step_owners[start..end]
+    }
+
+    fn push_event(&mut self, events: &mut Vec<Event>, ev: Event) {
+        events.push(ev);
+        self.step_owner_ends.push(self.step_owners.len() as u32);
+    }
+
     /// Read one device page. If an identical read is already in flight the
     /// existing handle is returned, so concurrent workers (or a prefetcher
-    /// and a demand read) share one physical I/O.
+    /// and a demand read) share one physical I/O; the caller's dispatch
+    /// owner joins the read's owner set.
     pub fn read_page(&mut self, device_page: u64) -> u64 {
         if let Some(&io) = self.inflight_page.get(&device_page) {
+            if let (Some(owner), Some(st)) = (self.owner, self.ios.get_mut(&io)) {
+                if !st.owners.contains(&owner) {
+                    st.owners.push(owner);
+                }
+            }
             return io;
         }
         let io = self.next_io;
@@ -727,6 +776,7 @@ impl<'a> SimContext<'a> {
                 started: self.now,
                 issue_time: self.now,
                 pending_retry: false,
+                owners: self.owner.into_iter().collect(),
             },
         );
         self.submit_physical(io);
@@ -768,7 +818,11 @@ impl<'a> SimContext<'a> {
 
     /// Submit `work_us` core-microseconds of compute.
     pub fn submit_cpu(&mut self, work_us: f64) -> TaskId {
-        self.cpu.submit(self.now, work_us)
+        let id = self.cpu.submit(self.now, work_us);
+        if let Some(owner) = self.owner {
+            self.task_owner.insert(id, owner);
+        }
+        id
     }
 
     /// Arm a virtual-time timer that fires as [`Event::Timer`] once `after`
@@ -809,6 +863,8 @@ impl<'a> SimContext<'a> {
     /// machinery has anything pending (deadlock or completion — the caller
     /// knows which).
     pub fn step(&mut self, events: &mut Vec<Event>) -> bool {
+        self.step_owners.clear();
+        self.step_owner_ends.clear();
         if self.trace.is_some() {
             // Flush pool activity that happened since the last step, before
             // virtual time moves on (pool calls are synchronous at `now`).
@@ -898,14 +954,19 @@ impl<'a> SimContext<'a> {
             let Some((_, (id, tag))) = self.timer_queue.pop() else {
                 break;
             };
-            events.push(Event::Timer { id, tag });
+            self.push_event(events, Event::Timer { id, tag });
         }
 
-        self.cpu_buf.clear();
-        self.cpu.advance(t, &mut self.cpu_buf);
-        for &id in &self.cpu_buf {
-            events.push(Event::Cpu(id));
+        let mut cpu_buf = std::mem::take(&mut self.cpu_buf);
+        cpu_buf.clear();
+        self.cpu.advance(t, &mut cpu_buf);
+        for &id in &cpu_buf {
+            if let Some(owner) = self.task_owner.remove(&id) {
+                self.step_owners.push(owner);
+            }
+            self.push_event(events, Event::Cpu(id));
         }
+        self.cpu_buf = cpu_buf;
         true
     }
 
@@ -960,7 +1021,7 @@ impl<'a> SimContext<'a> {
         match c.status {
             IoStatus::Ok => {
                 let st = self.ios.remove(&io).expect("present just above");
-                self.finish(io, &st, IoStatus::Ok, events);
+                self.finish(io, st, IoStatus::Ok, events);
             }
             IoStatus::Error if attempts < self.retry.max_attempts => {
                 if !pending {
@@ -977,7 +1038,7 @@ impl<'a> SimContext<'a> {
             }
             IoStatus::Error if live == 0 && !pending => {
                 let st = self.ios.remove(&io).expect("present just above");
-                self.finish(io, &st, IoStatus::Error, events);
+                self.finish(io, st, IoStatus::Error, events);
             }
             // A duplicate is still in flight; let it settle the read
             // (a late success wins over this failure).
@@ -985,38 +1046,40 @@ impl<'a> SimContext<'a> {
         }
     }
 
-    fn finish(&mut self, io: u64, st: &LogicalIo, status: IoStatus, events: &mut Vec<Event>) {
+    fn finish(&mut self, io: u64, st: LogicalIo, status: IoStatus, events: &mut Vec<Event>) {
+        self.step_owners.extend_from_slice(&st.owners);
         self.hists
             .page_wait_us
             .record((self.now - st.started).as_nanos() / 1000);
         self.hists
             .retries
             .record(st.attempts.saturating_sub(1) as u64);
-        match st.meta {
+        let ev = match st.meta {
             IoMeta::Page { device_page } => {
                 self.inflight_page.remove(&device_page);
-                events.push(Event::IoPage {
+                Event::IoPage {
                     io,
                     device_page,
                     status,
                     attempts: st.attempts,
-                });
+                }
             }
-            IoMeta::Block { start, len } => events.push(Event::IoBlock {
+            IoMeta::Block { start, len } => Event::IoBlock {
                 io,
                 start,
                 len,
                 status,
                 attempts: st.attempts,
-            }),
-            IoMeta::Write { start, len } => events.push(Event::IoWrite {
+            },
+            IoMeta::Write { start, len } => Event::IoWrite {
                 io,
                 start,
                 len,
                 status,
                 attempts: st.attempts,
-            }),
-        }
+            },
+        };
+        self.push_event(events, ev);
     }
 
     /// Let the context's own in-flight I/O finish (without emitting events)

@@ -148,21 +148,7 @@ pub fn execute(ctx: &mut SimContext<'_>, q: &QuerySpec<'_>) -> Result<ScanOutput
     let pool_before = ctx.pool.stats().clone();
     let mut driver = make_driver(q)?;
     driver.start(ctx)?;
-    let mut events: Vec<Event> = Vec::new();
-    while !driver.done() {
-        if ctx.device_crashed() {
-            return Err(ExecError::Crashed);
-        }
-        events.clear();
-        let progressed = ctx.step(&mut events);
-        if !progressed && ctx.device_crashed() {
-            return Err(ExecError::Crashed);
-        }
-        assert!(progressed, "scan deadlocked with work pending");
-        for e in &events {
-            driver.on_event(ctx, e)?;
-        }
-    }
+    drive(ctx, driver.as_mut())?;
     let answer = driver.answer();
     let runtime = ctx.now() - start;
     let io = ctx.io_profile();
@@ -181,4 +167,81 @@ pub fn execute(ctx: &mut SimContext<'_>, q: &QuerySpec<'_>) -> Result<ScanOutput
         resilience,
         hists,
     })
+}
+
+/// Feed every event of `ctx` to a started `driver` until it is done.
+///
+/// Returns [`ExecError::Crashed`] once the device halts, and
+/// [`ExecError::Internal`] if the context runs out of pending work while
+/// the driver is still waiting (a driver bug, reported rather than
+/// panicking).
+fn drive(ctx: &mut SimContext<'_>, driver: &mut dyn QueryDriver) -> Result<(), ExecError> {
+    let mut events: Vec<Event> = Vec::new();
+    while !driver.done() {
+        if ctx.device_crashed() {
+            return Err(ExecError::Crashed);
+        }
+        events.clear();
+        if !ctx.step(&mut events) {
+            if ctx.device_crashed() {
+                return Err(ExecError::Crashed);
+            }
+            return Err(ExecError::Internal {
+                detail: "scan deadlocked: driver not done and no work pending",
+            });
+        }
+        for e in &events {
+            driver.on_event(ctx, e)?;
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cpu::CpuConfig;
+    use crate::driver::QueryAnswer;
+    use crate::engine::CpuCosts;
+    use pioqo_bufpool::BufferPool;
+    use pioqo_device::presets::consumer_pcie_ssd;
+
+    /// A driver that issues nothing and never finishes.
+    struct Stuck;
+
+    impl QueryDriver for Stuck {
+        fn operator(&self) -> &'static str {
+            "stuck"
+        }
+        fn start(&mut self, _ctx: &mut SimContext<'_>) -> Result<(), ExecError> {
+            Ok(())
+        }
+        fn on_event(&mut self, _ctx: &mut SimContext<'_>, _ev: &Event) -> Result<(), ExecError> {
+            Ok(())
+        }
+        fn done(&self) -> bool {
+            false
+        }
+        fn answer(&self) -> QueryAnswer {
+            QueryAnswer::default()
+        }
+    }
+
+    #[test]
+    fn a_stalled_driver_is_a_typed_error_not_a_panic() {
+        let mut dev = consumer_pcie_ssd(1 << 12, 1);
+        let mut pool = BufferPool::new(16);
+        let mut ctx = SimContext::new(
+            &mut dev,
+            &mut pool,
+            CpuConfig::paper_xeon(),
+            CpuCosts::default(),
+        );
+        let mut driver = Stuck;
+        driver.start(&mut ctx).expect("starts");
+        match drive(&mut ctx, &mut driver) {
+            Err(ExecError::Internal { detail }) => assert!(detail.contains("deadlocked")),
+            other => panic!("expected a typed stall error, got {other:?}"),
+        }
+    }
 }

@@ -6,18 +6,21 @@
 //! range-MAX queries separated by seeded think time — on **one**
 //! [`SimContext`]: one device, one buffer pool, one CPU scheduler.
 //!
-//! The scheduler is O(1) per event: sessions live in a dense slab keyed by
-//! their index, think-time wakeups ride tagged virtual timers through the
-//! context's calendar queue (`tag = 1 + session`, so a wakeup routes to
-//! its owner without a side table or a scan), and machine events are
-//! delivered only to the dense list of queries actually running solo.
-//! Queries attached to the shared-scan hub ([`crate::shared::ScanHub`],
-//! enabled by [`WorkloadSpec::shared_scans`]) never appear on that list at
-//! all: one circular cursor serves every attached consumer, so a
-//! 100K-session workload costs one stream of device events rather than
-//! 100K per-session broadcasts. Drivers own their I/O handles and compute
-//! tasks and ignore the rest (see [`crate::driver`]), so the interleaving
-//! is exact and byte-deterministic for a given [`WorkloadSpec`] seed.
+//! The scheduler is O(owners) per event: sessions live in a dense slab
+//! keyed by their index, think-time wakeups ride tagged virtual timers
+//! through the context's calendar queue (`tag = 1 + session`, so a wakeup
+//! routes to its owner without a side table or a scan), and each machine
+//! event goes only to the solo drivers that own it. The engine stamps
+//! every driver call with the query's owner token; the context records
+//! that token on the I/O and compute the driver issues, adds it to a
+//! deduplicated page read's owner set, and hands the set back with the
+//! completion. Queries attached to the shared-scan hub
+//! ([`crate::shared::ScanHub`], enabled by [`WorkloadSpec::shared_scans`])
+//! own no events at all: one circular cursor serves every attached
+//! consumer, so a 100K-session workload costs one stream of device events.
+//! Owners are visited in the order of the dense running-solo list, so the
+//! interleaving is exact and byte-deterministic for a given
+//! [`WorkloadSpec`] seed.
 //!
 //! Plan choice is delegated to an [`AdmissionPlanner`]: the engine tells it
 //! how many queries are already running when a new one arrives, and the
@@ -326,10 +329,14 @@ pub struct SessionSummary {
 }
 
 /// Everything a [`MultiEngine`] run reports.
+///
+/// The fixed-size aggregates are boxed, so a report is a couple of
+/// hundred bytes to move and to keep in bulk (grids and repeated runs
+/// hold many); reading a field is unchanged.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadReport {
     /// The spec that produced this report (self-describing exports).
-    pub spec: WorkloadSpec,
+    pub spec: Box<WorkloadSpec>,
     /// Completed queries in completion order (capped by
     /// [`WorkloadSpec::record_limit`]).
     pub records: Vec<QueryRecord>,
@@ -338,7 +345,7 @@ pub struct WorkloadReport {
     /// How often each plan label was chosen.
     pub plan_counts: BTreeMap<String, u64>,
     /// Query latencies across all sessions, µs.
-    pub query_latency_us: Histogram,
+    pub query_latency_us: Box<Histogram>,
     /// 95th-percentile query latency across all sessions, µs.
     pub p95_latency_us: u64,
     /// 99th-percentile query latency across all sessions, µs.
@@ -346,17 +353,24 @@ pub struct WorkloadReport {
     /// First admission to last completion, virtual time.
     pub makespan: SimDuration,
     /// Device-level I/O profile over the whole workload.
-    pub io: IoProfile,
+    pub io: Box<IoProfile>,
     /// Buffer-pool counters over the whole workload.
-    pub pool: PoolStats,
+    pub pool: Box<PoolStats>,
     /// Fault-handling counters over the whole workload.
     pub resilience: ResilienceStats,
     /// Machine-level histograms (I/O latency, queue depth, page waits).
-    pub hists: HistSet,
+    pub hists: Box<HistSet>,
     /// Shared-scan hub counters (all zero when sharing is off).
-    pub shared: SharedScanStats,
+    pub shared: Box<SharedScanStats>,
+    /// Machine events the engine dispatched (I/O and compute completions
+    /// and timers).
+    pub events_dispatched: u64,
+    /// Calls to solo drivers' `on_event`. Owner routing makes this about
+    /// one per I/O or compute completion; a deduplicated read shared by
+    /// several queries adds one per extra owner.
+    pub driver_callbacks: u64,
     /// Write-path counters, when a write workload ran beside the scans.
-    pub writes: Option<WriteStats>,
+    pub writes: Option<Box<WriteStats>>,
 }
 
 impl WorkloadReport {
@@ -420,9 +434,9 @@ struct AttachedQuery {
 enum SessState<'q> {
     /// Waiting on a tagged think timer.
     Thinking,
-    /// Running a dedicated driver (on the dense broadcast list).
+    /// Running a dedicated driver (on the dense running-solo list).
     Running(ActiveQuery<'q>),
-    /// Attached to the shared-scan hub (off the broadcast list).
+    /// Attached to the shared-scan hub (off the running-solo list).
     Attached(AttachedQuery),
     Finished,
 }
@@ -437,6 +451,27 @@ struct Sess<'q> {
     /// `u32::MAX`.
     run_idx: u32,
     state: SessState<'q>,
+}
+
+/// The dispatch owner token of session `s`'s query number `query_index`.
+/// The query index keeps a late completion of a finished query from
+/// reaching the session's next query.
+fn owner_token(s: usize, query_index: u32) -> u64 {
+    ((s as u64) << 32) | u64::from(query_index)
+}
+
+fn token_session(token: u64) -> usize {
+    (token >> 32) as usize
+}
+
+/// Index on the running-solo list of the query `token` names, if that
+/// query is still running.
+fn owner_index(sessions: &[Sess<'_>], token: u64) -> Option<usize> {
+    let sess = sessions.get(token_session(token))?;
+    match &sess.state {
+        SessState::Running(q) if q.query_index == token as u32 => Some(sess.run_idx as usize),
+        _ => None,
+    }
 }
 
 /// Metadata shared by both completion paths.
@@ -456,9 +491,13 @@ struct RunState {
     plan_counts: BTreeMap<String, u64>,
     query_latency: Histogram,
     last_complete: SimTime,
-    /// Dense list of sessions whose query is running solo: the only
-    /// sessions machine events are broadcast to.
+    /// Dense list of sessions whose query is running solo. An event's
+    /// owners are visited in this list's order.
     running_solo: Vec<u32>,
+    /// Owner tokens of the event being dispatched.
+    owner_buf: Vec<u64>,
+    events_dispatched: u64,
+    driver_callbacks: u64,
     /// Hub consumer slot -> owning session.
     attached_owner: Vec<u32>,
     /// Sessions not yet `Finished` (the loop condition, maintained
@@ -603,6 +642,9 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
             query_latency: Histogram::new(),
             last_complete: start,
             running_solo: Vec::new(),
+            owner_buf: Vec::new(),
+            events_dispatched: 0,
+            driver_callbacks: 0,
             attached_owner: Vec::new(),
             unfinished: self.spec.sessions,
             active_queries: 0,
@@ -626,7 +668,8 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
                     detail: "multi-query engine stalled with sessions outstanding",
                 });
             }
-            for &ev in &events {
+            st.events_dispatched += events.len() as u64;
+            for (e, &ev) in events.iter().enumerate() {
                 // The write system sees every event first; a `true` return
                 // means the event was one of its own timers, which sessions
                 // must never interpret as theirs.
@@ -687,7 +730,7 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
                     continue;
                 }
                 // The shared cursor's own I/O and evaluation completions
-                // never reach the broadcast list.
+                // have no solo owner.
                 if let Some(h) = hub.as_mut() {
                     if h.on_event(ctx, &ev)? {
                         let mut comps = std::mem::take(&mut st.completions_buf);
@@ -704,30 +747,13 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
                         continue;
                     }
                 }
-                // Broadcast to the dense running-solo list; only owners
-                // react (shared reads can have several owners). When entry
-                // `i` completes it is swap-removed and the element swapped
-                // in from the end still needs this event, so `i` does not
-                // advance on completion.
-                let mut i = 0;
-                while i < st.running_solo.len() {
-                    let s = st.running_solo[i] as usize;
-                    let done = {
-                        let SessState::Running(q) = &mut sessions[s].state else {
-                            i += 1;
-                            continue;
-                        };
-                        q.driver.on_event(ctx, &ev)?;
-                        q.driver.done()
-                    };
-                    if done {
-                        self.complete_solo(ctx, &mut sessions, &mut st, i);
-                    } else {
-                        i += 1;
-                    }
-                }
+                st.owner_buf.clear();
+                st.owner_buf.extend_from_slice(ctx.event_owners(e));
+                self.dispatch_to_owners(ctx, &mut sessions, &mut st, &ev)?;
             }
         }
+        ctx.metric_counter("engine_events_dispatched_total", st.events_dispatched);
+        ctx.metric_counter("engine_driver_callbacks_total", st.driver_callbacks);
 
         let write_stats = ws.as_deref().map(|w| w.stats());
         let io = ctx.io_profile();
@@ -750,21 +776,59 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
             .collect();
         let shared = hub.map(|h| h.stats().clone()).unwrap_or_default();
         Ok(WorkloadReport {
-            spec: self.spec,
+            spec: Box::new(self.spec),
             records: st.records,
             per_session,
             plan_counts: st.plan_counts,
             p95_latency_us: st.query_latency.quantile_lo(95, 100),
             p99_latency_us: st.query_latency.quantile_lo(99, 100),
-            query_latency_us: st.query_latency,
+            query_latency_us: Box::new(st.query_latency),
             makespan: st.last_complete.since(start),
-            io,
-            pool,
+            io: Box::new(io),
+            pool: Box::new(pool),
             resilience,
-            hists,
-            shared,
-            writes: write_stats,
+            hists: Box::new(hists),
+            shared: Box::new(shared),
+            events_dispatched: st.events_dispatched,
+            driver_callbacks: st.driver_callbacks,
+            writes: write_stats.map(Box::new),
         })
+    }
+
+    /// Deliver `ev` to the solo drivers among `st.owner_buf` whose query
+    /// is still running, in running-solo list order. Positions are re-read
+    /// after every call: a completing driver is swap-removed, which moves
+    /// the list's last entry into its index, and an owner moved there is
+    /// next in line (the order the whole list would be walked in).
+    fn dispatch_to_owners(
+        &mut self,
+        ctx: &mut SimContext<'_>,
+        sessions: &mut [Sess<'q>],
+        st: &mut RunState,
+        ev: &Event,
+    ) -> Result<(), ExecError> {
+        let mut owners = std::mem::take(&mut st.owner_buf);
+        while let Some((i, pos)) = owners
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, &token)| Some((owner_index(sessions, token)?, pos)))
+            .min()
+        {
+            let token = owners.swap_remove(pos);
+            let SessState::Running(q) = &mut sessions[token_session(token)].state else {
+                break;
+            };
+            st.driver_callbacks += 1;
+            ctx.set_dispatch_owner(Some(token));
+            let res = q.driver.on_event(ctx, ev);
+            ctx.set_dispatch_owner(None);
+            res?;
+            if q.driver.done() {
+                self.complete_solo(ctx, sessions, st, i);
+            }
+        }
+        st.owner_buf = owners;
+        Ok(())
     }
 
     /// A session's think timer fired: admit its next query, or retire the
@@ -885,7 +949,10 @@ impl<'q, P: AdmissionPlanner> MultiEngine<'q, P> {
         let mut driver = make_driver(&q)?;
         let plan = q.plan;
         ctx.trace_span_begin(sessions[s].track, "query");
-        driver.start(ctx)?;
+        ctx.set_dispatch_owner(Some(owner_token(s, query_index)));
+        let started = driver.start(ctx);
+        ctx.set_dispatch_owner(None);
+        started?;
         let plan_label = if (st.records.len() as u64) < cap {
             st.label_buf.clone()
         } else {

@@ -360,8 +360,8 @@ impl<'q> ScanHub<'q> {
     }
 
     /// Feed one engine event to the hub. Returns `Ok(true)` when the event
-    /// belonged to the shared cursor (the caller must not broadcast it to
-    /// solo queries), `Ok(false)` otherwise.
+    /// belonged to the shared cursor (the caller must not also dispatch it
+    /// to solo queries), `Ok(false)` otherwise.
     pub fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<bool, ExecError> {
         match *ev {
             Event::IoBlock {

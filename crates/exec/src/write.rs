@@ -320,8 +320,8 @@ impl WriteSystem {
     }
 
     /// Handle one engine event. Returns `true` when the event was a timer
-    /// owned by this system (sessions must not see it); all other events
-    /// are shared and the caller keeps broadcasting them.
+    /// owned by this system (sessions must not see it); the caller passes
+    /// every other event on to the shared cursor and the owning queries.
     pub fn on_event(&mut self, ctx: &mut SimContext<'_>, ev: &Event) -> Result<bool, ExecError> {
         match *ev {
             Event::Timer { id, .. } => {

@@ -22,7 +22,7 @@
 use crate::concurrency::{QdBudget, QdLease};
 use crate::cost::QdttCost;
 use crate::join::{choose_join, join_plan_to_spec, JoinMethod, JoinStats};
-use crate::optimizer::{AccessMethod, Optimizer, OptimizerConfig, Plan};
+use crate::optimizer::{AccessMethod, IndexCard, Optimizer, OptimizerConfig, Plan};
 use crate::stats::TableStats;
 use pioqo_bufpool::BufferPool;
 use pioqo_core::Qdtt;
@@ -118,6 +118,42 @@ pub struct JoinDecision {
     pub plan: String,
 }
 
+/// How many distinct cardinality keys [`CardMemo`] keeps. Workloads cycle
+/// through a handful of selectivities over one table and pool, so a few
+/// entries catch every repeat.
+const CARD_MEMO_ENTRIES: usize = 8;
+
+/// Everything an [`IndexCard`] depends on: `(pages, rows, k,
+/// buffer_frames, leaf_fanout)`.
+type CardKey = (u64, u64, u64, u64, u32);
+
+/// [`IndexCard`]s of recent admissions. A hit returns the very values a
+/// fresh computation would, so plans stay bit-identical. A full memo is
+/// emptied before the next insert.
+#[derive(Debug, Default)]
+struct CardMemo(BTreeMap<CardKey, IndexCard>);
+
+impl CardMemo {
+    fn get(&mut self, stats: &TableStats, sel: f64) -> IndexCard {
+        let key = (
+            stats.pages,
+            stats.rows,
+            IndexCard::qualifying_rows(stats, sel),
+            stats.buffer_frames,
+            stats.index.leaf_fanout,
+        );
+        if let Some(card) = self.0.get(&key) {
+            return *card;
+        }
+        if self.0.len() == CARD_MEMO_ENTRIES {
+            self.0.clear();
+        }
+        let card = IndexCard::new(stats, sel);
+        self.0.insert(key, card);
+        card
+    }
+}
+
 /// The QDTT-aware admission planner. See the module docs.
 pub struct QdttAdmission<'a> {
     table: &'a HeapTable,
@@ -133,8 +169,11 @@ pub struct QdttAdmission<'a> {
     /// the live lease — cloned once at construction, mutated in place on
     /// every admission instead of cloning the degree list per query.
     run_cfg: OptimizerConfig,
-    /// Reused candidate buffer for `Optimizer::choose_into`.
+    /// Reused candidate buffer for `Optimizer::choose_with_card`.
     plan_scratch: Vec<Plan>,
+    /// Cardinality terms of recent admissions: re-costing under a new
+    /// lease changes only the queue depth, never these.
+    cards: CardMemo,
     budget: QdBudget,
     leases: BTreeMap<u32, QdLease>,
     /// The lease held on behalf of the shared-scan cursor, while one is
@@ -173,6 +212,7 @@ impl<'a> QdttAdmission<'a> {
             cfg,
             run_cfg,
             plan_scratch: Vec::new(),
+            cards: CardMemo::default(),
             budget,
             leases: BTreeMap::new(),
             cursor: None,
@@ -263,10 +303,11 @@ impl AdmissionPlanner for QdttAdmission<'_> {
         let lease = self.budget.acquire();
         let stats = TableStats::gather(self.table, self.index, pool);
         self.run_cfg.max_queue_depth = self.cfg.max_queue_depth.min(lease.depth);
+        let card = self.cards.get(&stats, q.selectivity);
         let mut scratch = std::mem::take(&mut self.plan_scratch);
-        let plan = Optimizer::with_cfg(&self.model, &self.run_cfg).choose_into(
+        let plan = Optimizer::with_cfg(&self.model, &self.run_cfg).choose_with_card(
             &stats,
-            q.selectivity,
+            &card,
             &mut scratch,
         );
         self.plan_scratch = scratch;
@@ -308,10 +349,11 @@ impl AdmissionPlanner for QdttAdmission<'_> {
         // it were admitted on its own (hypothetical: no lease is taken).
         let depth = self.budget.share_at(self.budget.active() as u32 + 1);
         self.run_cfg.max_queue_depth = self.cfg.max_queue_depth.min(depth);
+        let card = self.cards.get(&stats, q.selectivity);
         let mut scratch = std::mem::take(&mut self.plan_scratch);
-        let solo = Optimizer::with_cfg(&self.model, &self.run_cfg).choose_into(
+        let solo = Optimizer::with_cfg(&self.model, &self.run_cfg).choose_with_card(
             &stats,
-            q.selectivity,
+            &card,
             &mut scratch,
         );
         self.plan_scratch = scratch;
@@ -465,6 +507,60 @@ mod tests {
             "parallel degree must step down as leases shrink: {} vs {}",
             d[0].degree,
             d[15].degree
+        );
+    }
+
+    #[test]
+    fn a_reused_planner_journals_what_fresh_planners_do() {
+        let (table, index) = fixture();
+        let mut pool = BufferPool::new(1024);
+        // Without sorted IS the synthetic model's winner moves with the
+        // selectivity (index scans low, table scans high), so a stale card
+        // changes the journal.
+        let cfg = OptimizerConfig {
+            consider_sorted_is: false,
+            ..OptimizerConfig::fine_grained()
+        };
+        let mut reused = QdttAdmission::new(&table, &index, ssd_model(), cfg.clone());
+        // Eleven selectivities, more than the memo holds, in a scrambled
+        // order; 0.05 and up put k past the exact-product limit.
+        let sels = [
+            0.0, 1e-4, 5e-4, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3,
+        ];
+        let mut outstanding: Vec<u32> = Vec::new();
+        for i in 0..50u32 {
+            let sel = sels[(i as usize * 7) % sels.len()];
+            // Warm the pool as admissions go on, so live stats move.
+            for p in 0..(i as u64 * 20) {
+                let dp = table.device_page(p % table.spec().n_pages());
+                pool.admit_prefetched(dp).expect("unpinned frames to evict");
+            }
+            // A fresh planner holding as many leases as the reused one.
+            let mut fresh = QdttAdmission::new(&table, &index, ssd_model(), cfg.clone());
+            for &s in &outstanding {
+                fresh.admit(&admission(s, 0, 0.01), &pool);
+            }
+            let q = QueryAdmission {
+                query_index: i,
+                ..admission(i, outstanding.len() as u32, sel)
+            };
+            reused.admit(&q, &pool);
+            fresh.admit(&q, &pool);
+            // `{:?}` prints each f64 in its shortest round-trip form, so
+            // equal strings mean equal bits.
+            let a = format!("{:?}", reused.decisions().last());
+            let b = format!("{:?}", fresh.decisions().last());
+            assert_eq!(a, b, "admission {i} (sel {sel})");
+            outstanding.push(i);
+            if outstanding.len() > 3 {
+                reused.complete(outstanding.remove(0));
+            }
+        }
+        let plans: std::collections::BTreeSet<&str> =
+            reused.decisions().iter().map(|d| d.plan.as_str()).collect();
+        assert!(
+            plans.len() >= 3,
+            "the mix must exercise several plans: {plans:?}"
         );
     }
 

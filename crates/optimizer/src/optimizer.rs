@@ -74,6 +74,42 @@ impl Plan {
     }
 }
 
+/// The selectivity-only cardinality terms of an index access: qualifying
+/// rows, Yao distinct data pages, Mackert–Lohman fetches through the
+/// buffer and index leaves touched. They depend on the table shape and the
+/// selectivity but not on degree or queue depth, so plan selection
+/// computes them once and every index candidate reads them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct IndexCard {
+    /// Qualifying rows, `ceil(sel × rows)`.
+    k: u64,
+    /// Expected distinct data pages touched ([`yao_pages`]).
+    distinct: f64,
+    /// Expected data-page fetches through an LRU buffer
+    /// ([`mackert_lohman_fetches`]).
+    fetches_lru: f64,
+    /// Index leaf pages touched.
+    leaves: f64,
+}
+
+impl IndexCard {
+    /// Qualifying rows for selectivity `sel` (clamped to `[0, 1]`).
+    pub(crate) fn qualifying_rows(stats: &TableStats, sel: f64) -> u64 {
+        (sel.clamp(0.0, 1.0) * stats.rows as f64).ceil() as u64
+    }
+
+    /// The terms for selectivity `sel` over `stats`.
+    pub(crate) fn new(stats: &TableStats, sel: f64) -> IndexCard {
+        let k = IndexCard::qualifying_rows(stats, sel);
+        IndexCard {
+            k,
+            distinct: yao_pages(stats.pages, stats.rows, k),
+            fetches_lru: mackert_lohman_fetches(stats.pages, k, stats.buffer_frames),
+            leaves: leaf_pages_touched(k, stats.index.leaf_fanout) as f64,
+        }
+    }
+}
+
 /// Optimizer knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OptimizerConfig {
@@ -167,16 +203,20 @@ impl<'m> Optimizer<'m> {
     /// Enumerate every candidate plan for the query
     /// `SELECT MAX(C1) FROM t WHERE C2 BETWEEN …` with selectivity `sel`.
     pub fn enumerate(&self, stats: &TableStats, sel: f64) -> Vec<Plan> {
-        let sel = sel.clamp(0.0, 1.0);
         let mut plans = Vec::new();
+        self.enumerate_into(stats, &IndexCard::new(stats, sel), &mut plans);
+        plans
+    }
+
+    fn enumerate_into(&self, stats: &TableStats, card: &IndexCard, plans: &mut Vec<Plan>) {
+        plans.clear();
         for &d in &self.cfg.degrees {
             plans.push(self.cost_fts(stats, d));
-            plans.push(self.cost_is(stats, sel, d));
+            plans.push(self.cost_is(stats, card, d));
         }
         if self.cfg.consider_sorted_is {
-            plans.push(self.cost_sorted_is(stats, sel));
+            plans.push(self.cost_sorted_is(stats, card));
         }
-        plans
     }
 
     /// Pick the cheapest plan (ties break toward lower degree, which the
@@ -189,15 +229,19 @@ impl<'m> Optimizer<'m> {
     /// [`choose`](Self::choose) writing candidates into a caller-owned
     /// scratch vector, so repeated admissions reuse one allocation.
     pub fn choose_into(&self, stats: &TableStats, sel: f64, scratch: &mut Vec<Plan>) -> Plan {
-        let sel = sel.clamp(0.0, 1.0);
-        scratch.clear();
-        for &d in &self.cfg.degrees {
-            scratch.push(self.cost_fts(stats, d));
-            scratch.push(self.cost_is(stats, sel, d));
-        }
-        if self.cfg.consider_sorted_is {
-            scratch.push(self.cost_sorted_is(stats, sel));
-        }
+        self.choose_with_card(stats, &IndexCard::new(stats, sel), scratch)
+    }
+
+    /// [`choose_into`](Self::choose_into) with the cardinality terms
+    /// supplied by the caller, so an admission loop that sees the same
+    /// selectivity over and over can reuse them.
+    pub(crate) fn choose_with_card(
+        &self,
+        stats: &TableStats,
+        card: &IndexCard,
+        scratch: &mut Vec<Plan>,
+    ) -> Plan {
+        self.enumerate_into(stats, card, scratch);
         scratch
             .iter()
             .min_by(|a, b| {
@@ -221,8 +265,10 @@ impl<'m> Optimizer<'m> {
     ) -> Plan {
         match method {
             AccessMethod::TableScan => self.cost_fts(stats, degree),
-            AccessMethod::IndexScan => self.cost_is(stats, sel.clamp(0.0, 1.0), degree),
-            AccessMethod::SortedIndexScan => self.cost_sorted_is(stats, sel.clamp(0.0, 1.0)),
+            AccessMethod::IndexScan => self.cost_is(stats, &IndexCard::new(stats, sel), degree),
+            AccessMethod::SortedIndexScan => {
+                self.cost_sorted_is(stats, &IndexCard::new(stats, sel))
+            }
         }
     }
 
@@ -261,25 +307,22 @@ impl<'m> Optimizer<'m> {
 
     /// Index scan with `degree` workers: random I/O over the table extent,
     /// Yao distinct pages, Mackert–Lohman refetch through the buffer pool.
-    fn cost_is(&self, stats: &TableStats, sel: f64, degree: u32) -> Plan {
-        let k = (sel * stats.rows as f64).ceil() as u64;
+    fn cost_is(&self, stats: &TableStats, card: &IndexCard, degree: u32) -> Plan {
         let qd = (degree * self.cfg.is_prefetch_depth.max(1)).min(self.cfg.max_queue_depth);
         let band = stats.extent.pages;
 
         // Data-page fetches: distinct pages by Yao, inflated by LRU
         // refetches when the buffer is smaller than the touched set,
         // discounted by the already-cached fraction.
-        let distinct = yao_pages(stats.pages, stats.rows, k);
-        let fetches_lru = mackert_lohman_fetches(stats.pages, k, stats.buffer_frames);
-        let data_fetches = distinct.max(fetches_lru) * (1.0 - stats.cached_fraction());
+        let data_fetches = card.distinct.max(card.fetches_lru) * (1.0 - stats.cached_fraction());
 
         // Index I/O: root path + qualifying leaves.
-        let leaves = leaf_pages_touched(k, stats.index.leaf_fanout) as f64;
+        let leaves = card.leaves;
         let index_fetches = (leaves + stats.index.height.saturating_sub(1) as f64).max(1.0);
 
         let io = data_fetches * self.model.page_cost_us(band, qd)
             + index_fetches * self.model.page_cost_us(stats.index.extent.pages.max(1), qd);
-        let cpu = k as f64 * self.cfg.est.row_lookup_us + leaves * self.cfg.est.leaf_us;
+        let cpu = card.k as f64 * self.cfg.est.row_lookup_us + leaves * self.cfg.est.leaf_us;
         Plan {
             method: AccessMethod::IndexScan,
             degree,
@@ -294,12 +337,12 @@ impl<'m> Optimizer<'m> {
 
     /// Sorted index scan (extension): each distinct page fetched once, deep
     /// prefetch ring, plus the rid sort.
-    fn cost_sorted_is(&self, stats: &TableStats, sel: f64) -> Plan {
-        let k = (sel * stats.rows as f64).ceil() as u64;
+    fn cost_sorted_is(&self, stats: &TableStats, card: &IndexCard) -> Plan {
+        let k = card.k;
         let qd = self.cfg.max_queue_depth;
         let band = stats.extent.pages;
-        let distinct = yao_pages(stats.pages, stats.rows, k) * (1.0 - stats.cached_fraction());
-        let leaves = leaf_pages_touched(k, stats.index.leaf_fanout) as f64;
+        let distinct = card.distinct * (1.0 - stats.cached_fraction());
+        let leaves = card.leaves;
         let io = distinct * self.model.page_cost_us(band, qd)
             + leaves * self.model.page_cost_us(stats.index.extent.pages.max(1), qd);
         let k_f = k as f64;
@@ -503,6 +546,77 @@ mod tests {
             methods.contains(&AccessMethod::SortedIndexScan),
             "sorted IS should win somewhere in the midrange: {methods:?}"
         );
+    }
+
+    fn plan_bits(p: &Plan) -> (AccessMethod, u32, u32, u64, [u64; 4]) {
+        (
+            p.method,
+            p.degree,
+            p.queue_depth,
+            p.band,
+            [
+                p.est_page_fetches.to_bits(),
+                p.est_io_us.to_bits(),
+                p.est_cpu_us.to_bits(),
+                p.est_total_us.to_bits(),
+            ],
+        )
+    }
+
+    #[test]
+    fn choose_into_matches_the_minimum_over_cost_access_bit_for_bit() {
+        let (_, qdtt) = models(true, 1 << 20);
+        let model = QdttCost(qdtt);
+        // (pages, rows per page, buffer frames, cached pages): small and
+        // large pools, cold and partly cached.
+        let shapes = [
+            (300, 33, 32, 0),
+            (300, 33, 512, 120),
+            (3_031, 33, 128, 0),
+            (100_000, 33, 16_384, 0),
+            (100_000, 33, 2_000, 40_000),
+        ];
+        // 0, k below EXACT_K_LIMIT (4096) and k above it.
+        let sels = [0.0, 1e-5, 0.0005, 0.001, 0.03, 0.4, 1.0];
+        let mut scratch = Vec::new();
+        for (pages, rpp, buffer, cached) in shapes {
+            let mut st = stats(pages, rpp, buffer);
+            st.cached_pages = cached;
+            for cap in [1, 4, 32] {
+                for base in [OptimizerConfig::default(), OptimizerConfig::fine_grained()] {
+                    let cfg = OptimizerConfig {
+                        max_queue_depth: cap,
+                        ..base
+                    };
+                    let opt = Optimizer::new(&model, cfg.clone());
+                    for sel in sels {
+                        let chosen = opt.choose_into(&st, sel, &mut scratch);
+                        let mut candidates = Vec::new();
+                        for &d in &cfg.degrees {
+                            candidates.push(opt.cost_access(&st, sel, AccessMethod::TableScan, d));
+                            candidates.push(opt.cost_access(&st, sel, AccessMethod::IndexScan, d));
+                        }
+                        if cfg.consider_sorted_is {
+                            candidates.push(opt.cost_access(
+                                &st,
+                                sel,
+                                AccessMethod::SortedIndexScan,
+                                1,
+                            ));
+                        }
+                        let best = candidates
+                            .iter()
+                            .min_by(|a, b| a.est_total_us.partial_cmp(&b.est_total_us).unwrap())
+                            .unwrap();
+                        assert_eq!(
+                            plan_bits(&chosen),
+                            plan_bits(best),
+                            "pages {pages} buffer {buffer} cached {cached} cap {cap} sel {sel}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,10 +51,12 @@ pub struct SessionScaleConfig {
     /// Per-query record cap in the report ([`WorkloadSpec::record_limit`]);
     /// at 100K sessions the full record vector dominates memory.
     pub record_limit: Option<u64>,
-    /// Largest session count that still runs an *unshared* cell. Without
-    /// sharing, every device completion polls every running scan driver,
-    /// so unshared wall-clock grows with sessions² — the 10K baseline
-    /// alone costs ~10 minutes of harness time. `None` removes the cap.
+    /// Largest session count that still runs an *unshared* cell. Each
+    /// completion reaches only the drivers that own it, but every
+    /// unshared scan is runnable on the CPU scheduler at once, and its
+    /// processor-sharing step is linear in runnable tasks; the 10K
+    /// baseline takes about 36 s of harness time (1K: 0.4 s). `None`
+    /// removes the cap.
     pub unshared_cap: Option<u32>,
     /// Master seed.
     pub seed: u64,

@@ -13,10 +13,11 @@
 
 use pioqo::exec::{Event, QueryAnswer, QueryRecord, ScanHub};
 use pioqo::prelude::*;
+use pioqo::simkit::par::par_map_threads;
 use pioqo::storage::range_for_selectivity;
 use pioqo::workload::{
     calibrate, concurrency_grid, grid_csv, run_cell, session_export, session_scale_csv,
-    session_scale_sweep, ConcurrencyConfig, SessionScaleConfig,
+    session_scale_fixture, session_scale_sweep, ConcurrencyConfig, SessionScaleConfig,
 };
 use proptest::prelude::*;
 
@@ -176,7 +177,7 @@ fn session_scale_sweep_is_byte_identical_and_fair_at_1k_and_10k() {
         "session-scale sweep must not depend on the harness thread count"
     );
     // 1K runs both modes; 10K is shared-only (the unshared baseline is
-    // capped: without sharing every completion polls every scan driver).
+    // capped by `SessionScaleConfig::unshared_cap`).
     assert_eq!(t1.len(), 3);
     for c in &t1 {
         assert_eq!(
@@ -196,6 +197,45 @@ fn session_scale_sweep_is_byte_identical_and_fair_at_1k_and_10k() {
         "overlapping scans at 10K sessions should ride the shared cursor: {}",
         shared_10k.attach_rate
     );
+}
+
+#[test]
+fn unshared_completions_reach_only_their_owners_at_any_thread_count() {
+    // Every completion goes to the drivers that own it, so driver
+    // callbacks track events one for one (a deduplicated read shared by
+    // several scans adds one per extra owner). Broadcasting each event to
+    // all ~200 running drivers would put the ratio near 200.
+    let cfg = scale_cfg();
+    let (exp, model) = session_scale_fixture(&cfg);
+    let opt = OptimizerConfig::fine_grained();
+    let seeds = [42u64, 987_654];
+    let run = |threads: usize| {
+        par_map_threads(threads, 7, &seeds, |_rng, &seed| {
+            let spec = WorkloadSpec {
+                seed,
+                ..cfg.workload(200, false)
+            };
+            let (report, decisions) = run_cell(&exp, &model, &opt, spec).expect("cell runs");
+            let decisions = serde_json::to_string(&decisions).expect("journal serializes");
+            (report, decisions)
+        })
+    };
+    let t1 = run(1);
+    let t4 = run(4);
+    for ((a, da), (b, db)) in t1.iter().zip(&t4) {
+        assert_eq!(a.to_json(), b.to_json(), "report moved with --threads");
+        assert_eq!(da, db, "admission journal moved with --threads");
+        assert_eq!(a.total_completed(), 200);
+        assert!(a.events_dispatched > 0 && a.driver_callbacks > 0);
+        let per_event = a.driver_callbacks as f64 / a.events_dispatched as f64;
+        assert!(
+            per_event <= 1.5,
+            "seed {}: {} callbacks for {} events ({per_event:.2} per event)",
+            a.spec.seed,
+            a.driver_callbacks,
+            a.events_dispatched
+        );
+    }
 }
 
 /// The `Db`-facade fixture for the shared-scan tests: `buffer_mb(0)`
